@@ -7,8 +7,9 @@
 // throughput, sampled throughput under a per-tier SamplingPlan, the
 // sampled-vs-exact speedup, and the sampled relative error on Cycles and
 // on the prefetch-fate total. The em3d tier additionally times the
-// no-skip baseline (the event-driven before/after pair) and the headline
-// in-order SSP speedup.
+// no-skip baseline (the event-driven before/after pair), the same exact
+// baseline on the out-of-order model (sim_cycles_per_sec_ooo, skipping on)
+// and the headline in-order SSP speedup.
 //
 // Tier notes: the stress tiers measure error on the *baseline* binary —
 // their enhanced runs concentrate a handful of prefetch fates in a
@@ -189,6 +190,12 @@ int main(int argc, char **argv) {
         WallSkip > 0 ? static_cast<double>(SS.Cycles) / WallSkip : 0;
     double RateNoSkip =
         WallNoSkip > 0 ? static_cast<double>(SN.Cycles) / WallNoSkip : 0;
+    double WallOoo = 0;
+    bool OooChecksumOk = true;
+    sim::SimStats SO = runTimed(LP, Em3d, sim::MachineConfig::outOfOrder(), 2,
+                                WallOoo, &OooChecksumOk);
+    double RateOoo =
+        WallOoo > 0 ? static_cast<double>(SO.Cycles) / WallOoo : 0;
 
     // Sampled-simulation tiers. Plans are period-matched to each
     // workload's phase length (see DESIGN.md); the stress plans target
@@ -209,7 +216,7 @@ int main(int argc, char **argv) {
       MaxErr = std::max(MaxErr, T.maxAbsErrPct());
       TiersChecksumOk = TiersChecksumOk && T.ChecksumOk;
     }
-    bool AllOk = R.ChecksumsOk && TiersChecksumOk;
+    bool AllOk = R.ChecksumsOk && TiersChecksumOk && OooChecksumOk;
 
     std::string Json;
     char Buf[768];
@@ -222,6 +229,7 @@ int main(int argc, char **argv) {
                   "  \"sim_cycles_per_sec\": %.0f,\n"
                   "  \"sim_cycles_per_sec_skip\": %.0f,\n"
                   "  \"sim_cycles_per_sec_noskip\": %.0f,\n"
+                  "  \"sim_cycles_per_sec_ooo\": %.0f,\n"
                   "  \"skip_speedup\": %.2f,\n"
                   "  \"speedupIO\": %.4f,\n"
                   "  \"sample_error_pct\": %.2f,\n"
@@ -229,7 +237,7 @@ int main(int argc, char **argv) {
                   "  \"tiers\": [\n",
                   Em3d.Name.c_str(), Runner.pool().numThreads(), WallSeconds,
                   static_cast<unsigned long long>(SimCycles), CyclesPerSec,
-                  RateSkip, RateNoSkip,
+                  RateSkip, RateNoSkip, RateOoo,
                   RateNoSkip > 0 ? RateSkip / RateNoSkip : 0, R.speedupIO(),
                   MaxErr, AllOk ? "true" : "false");
     Json += Buf;

@@ -114,6 +114,11 @@ serve_request() { # id program profile
 } | ./build-ci/tools/ssp-adaptd >build-ci/served.txt
 grep -q '^response r1 ok$' build-ci/served.txt
 grep -q '^response r2 ok$' build-ci/served.txt
+# A frame declaring a 2^64-1 byte payload must end in an error response,
+# not a daemon abort.
+printf 'request bad\nprogram 18446744073709551615\n' |
+  ./build-ci/tools/ssp-adaptd >build-ci/hostile.txt
+grep -q '^response bad error$' build-ci/hostile.txt
 # The load generator re-checks every response byte-for-byte against the
 # one-shot tool output and reports cold/warm throughput + latency. The
 # warm-over-cold speedup is only gated on quiet machines (SSP_CI_SPEEDUP,

@@ -603,15 +603,24 @@ uint64_t AdaptService::serve(std::istream &In, std::ostream &Out) {
     }
   };
   // Reads an N-byte length-prefixed payload plus its terminating
-  // newline; false + a located error on truncation.
+  // newline; false + a located error on truncation. The declared length
+  // is untrusted: the payload grows chunk by chunk as bytes arrive, so a
+  // frame declaring more than the input holds costs only what was sent.
   auto ReadPayload = [&](uint64_t N, std::string &PayloadOut,
                          std::string &Err) {
-    PayloadOut.assign(N, '\0');
-    if (N > 0)
-      In.read(&PayloadOut[0], static_cast<std::streamsize>(N));
-    if (static_cast<uint64_t>(In.gcount()) != N) {
-      PayloadOut.resize(static_cast<size_t>(std::max<std::streamsize>(
-          In.gcount(), 0)));
+    constexpr uint64_t Chunk = uint64_t(1) << 20;
+    PayloadOut.clear();
+    while (PayloadOut.size() < N) {
+      size_t Got = PayloadOut.size();
+      size_t Want = static_cast<size_t>(std::min<uint64_t>(N - Got, Chunk));
+      PayloadOut.resize(Got + Want);
+      In.read(&PayloadOut[Got], static_cast<std::streamsize>(Want));
+      PayloadOut.resize(
+          Got + static_cast<size_t>(std::max<std::streamsize>(In.gcount(), 0)));
+      if (PayloadOut.size() < Got + Want)
+        break;
+    }
+    if (PayloadOut.size() != N) {
       Err = Located("truncated payload (got " +
                     std::to_string(PayloadOut.size()) + " of " +
                     std::to_string(N) + " bytes)");

@@ -143,8 +143,12 @@ struct SimStats {
   // Sampled-simulation diagnostics (also non-architectural; zero on
   // unsampled runs). When Sampled is set, Cycles, CatCycles, the SSP/
   // branch/cache counters and Attribution are extrapolated from the
-  // detailed intervals; MainInsts is exact and LoadProfile covers the
-  // detailed intervals only.
+  // detailed intervals; MainInsts is counted (detailed plus functional),
+  // not extrapolated, and LoadProfile covers the detailed intervals only.
+  // MainInsts can still differ from the exact run's: an exact OOO run ends
+  // when the main thread's halt issues, up to 17 instructions early, and a
+  // sampled run of an adapted binary skips the trigger stubs outside
+  // detailed intervals (DESIGN.md "Sampled simulation").
   bool Sampled = false;           ///< Run used a SamplingPlan.
   uint64_t SampleIntervals = 0;   ///< Measured detailed intervals executed.
   uint64_t SampleDetailInsts = 0; ///< Main insts in measured detail.

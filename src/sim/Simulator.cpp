@@ -6,6 +6,7 @@
 #include "support/Assert.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -41,6 +42,24 @@ Simulator::Simulator(const MachineConfig &Cfg, const LinkedProgram &LP,
   Cache.setPerfectLoads(Cfg.PerfectLoads);
   ThrottlePow2 = Cfg.ThrottleEvalPeriod != 0 &&
                  (Cfg.ThrottleEvalPeriod & (Cfg.ThrottleEvalPeriod - 1)) == 0;
+  // Ring capacities: the front queue never exceeds its fetch cap and the
+  // ROB never exceeds RobEntries (fetch and dispatch check before adding).
+  const bool OOO = Cfg.Pipeline == PipelineKind::OutOfOrder;
+  const size_t FrontCap =
+      std::bit_ceil(static_cast<size_t>(Cfg.ExpansionQueueBundles) * 3);
+  const size_t RobCap = OOO ? std::bit_ceil(size_t{Cfg.RobEntries}) : 0;
+  SlotStore.resize(Threads.size() * (FrontCap + RobCap));
+  InstSlot *Next = SlotStore.data();
+  for (Thread &T : Threads) {
+    T.FrontQ.attach(Next, FrontCap);
+    Next += FrontCap;
+    if (OOO) {
+      T.Rob.attach(Next, RobCap);
+      Next += RobCap;
+      T.Rs.reserve(Cfg.RsEntries);
+      T.InFlight.reserve(Cfg.RobEntries);
+    }
+  }
   Threads[0].Active = true;
   Threads[0].Speculative = false;
   Threads[0].Ctx.PC = LP.entry();
@@ -198,16 +217,16 @@ void Simulator::notePrefetchTouch(unsigned Tid, uint64_t Line,
 
 void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
                                const cache::AccessResult &R) {
-  uint64_t Line = S.Out.MemAddr / Cfg.Cache.L1.LineBytes;
+  uint64_t Line = S.MemAddr / Cfg.Cache.L1.LineBytes;
   Thread &T = Threads[Tid];
   if (T.Speculative) {
     notePrefetchTouch(Tid, Line,
                       PrefetchOrigin{T.OriginTrigger, T.SliceSid,
-                                     T.SpawnDepth, S.Out.WildLoad},
+                                     T.SpawnDepth, S.WildLoad},
                       R);
     return;
   }
-  if (!S.Out.IsLoad)
+  if (!S.IsLoad)
     return;
   // Main-thread consumption: a prefetched line consumed quickly counts as
   // a timely ("useful") prefetch for its trigger.
@@ -244,7 +263,8 @@ void Simulator::noteDataAccess(unsigned Tid, const InstSlot &S,
   PrefetchedLines.erase(Line);
 }
 
-void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
+void Simulator::trySpawn(const InstSlot &S, unsigned SpawnerTid) {
+  FreeSpawnFrames.push_back(S.SpawnFrame); // Consumed whatever happens.
   const Thread &Spawner = Threads[SpawnerTid];
   ir::StaticId Origin = Spawner.Speculative ? Spawner.OriginTrigger
                                             : Spawner.LastFiredTrigger;
@@ -258,10 +278,11 @@ void Simulator::trySpawn(const ExecOutcome &Out, unsigned SpawnerTid) {
     T.OriginTrigger = Origin;
     // Attribution tags: which slice this context runs and how deep in the
     // spawn chain it sits (a chained slice re-spawning itself deepens it).
-    T.SliceSid = LP.at(Out.SpawnTargetAddr).Sid;
+    T.SliceSid = LP.at(S.SpawnTargetAddr).Sid;
     T.SpawnDepth = Spawner.Speculative ? Spawner.SpawnDepth + 1 : 1;
-    T.Ctx.PC = Out.SpawnTargetAddr;
-    std::memcpy(T.Ctx.LIBIn, Out.SpawnFrame, sizeof(T.Ctx.LIBIn));
+    T.Ctx.PC = S.SpawnTargetAddr;
+    std::memcpy(T.Ctx.LIBIn, SpawnFrames[S.SpawnFrame].data(),
+                sizeof(T.Ctx.LIBIn));
     // The new context begins fetching next cycle.
     T.FetchResumeCycle = Now + 1;
     if (Origin != 0) {
@@ -451,8 +472,8 @@ void Simulator::fetchCycle() {
   if (Cfg.Fetch == FetchPolicy::ICount) {
     // ICOUNT: fewest in-flight pre-issue instructions first.
     sortSmall(Order, N, [this](unsigned A, unsigned B) {
-      size_t IA = Threads[A].FrontQ.size() + Threads[A].RsCount;
-      size_t IB = Threads[B].FrontQ.size() + Threads[B].RsCount;
+      size_t IA = Threads[A].FrontQ.size() + Threads[A].Rs.size();
+      size_t IB = Threads[B].FrontQ.size() + Threads[B].Rs.size();
       if (IA != IB)
         return IA < IB;
       return Threads[A].LastFetchCycle < Threads[B].LastFetchCycle;
@@ -496,7 +517,7 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       if (LP.at(T.Ctx.PC).BundleId != CurBundle)
         break; // Bundle boundary.
 
-      InstSlot S;
+      InstSlot &S = T.FrontQ.push_back(InstSlot());
       S.LI = &LP.at(T.Ctx.PC);
       S.DI = &LP.decoded(T.Ctx.PC); // Before executeStep advances the PC.
       S.FetchCycle = Now;
@@ -515,15 +536,34 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
           Fire = false;
         }
       }
-      executeStep(T.Ctx, LP, Mem, T.Speculative, Fire, S.Out);
+      ExecOutcome &Out = FetchOut;
+      executeStep(T.Ctx, LP, Mem, T.Speculative, Fire, Out);
       FetchedAny = true;
+      S.MemAddr = Out.MemAddr;
+      S.Kind = Out.Kind;
+      S.IsMem = Out.IsMem;
+      S.IsLoad = Out.IsLoad;
+      S.WildLoad = Out.WildLoad;
+      S.HasSpawn = Out.HasSpawn;
+      if (Out.HasSpawn) {
+        S.SpawnTargetAddr = Out.SpawnTargetAddr;
+        if (FreeSpawnFrames.empty()) {
+          S.SpawnFrame = static_cast<uint32_t>(SpawnFrames.size());
+          SpawnFrames.emplace_back();
+        } else {
+          S.SpawnFrame = FreeSpawnFrames.back();
+          FreeSpawnFrames.pop_back();
+        }
+        std::memcpy(SpawnFrames[S.SpawnFrame].data(), Out.SpawnFrame,
+                    sizeof(Out.SpawnFrame));
+      }
 
       bool InOrder = Cfg.Pipeline == PipelineKind::InOrder;
-      switch (S.Out.Kind) {
+      switch (Out.Kind) {
       case CtrlKind::Fall:
       case CtrlKind::SpawnPoint:
       case CtrlKind::ChkCNop:
-        if (S.Out.Kind == CtrlKind::ChkCNop) {
+        if (Out.Kind == CtrlKind::ChkCNop) {
           if (SI)
             noteStreamTrigger(*SI, Tid, S.LI->Sid);
           else
@@ -532,14 +572,13 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
         break;
       case CtrlKind::Branch: {
         bool Correct =
-            Bpred.predictAndTrainDirection(FetchPC, Tid, S.Out.Taken);
+            Bpred.predictAndTrainDirection(FetchPC, Tid, Out.Taken);
         if (!Correct) {
-          S.Mispredicted = true;
           S.Resume = ResumeEvent::AtIssue; // Resolves at execute.
           S.ResumeDelay = 1;
           T.FetchWaitingOnEvent = true;
         }
-        if (S.Out.Taken)
+        if (Out.Taken)
           EndCycle = true; // Taken transfers end the cycle's fetch.
         break;
       }
@@ -549,7 +588,6 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
       case CtrlKind::IndirectJump: {
         bool Correct = Bpred.predictAndTrainTarget(FetchPC, T.Ctx.PC);
         if (!Correct) {
-          S.Mispredicted = true;
           S.Resume = ResumeEvent::AtIssue;
           S.ResumeDelay = 1;
           T.FetchWaitingOnEvent = true;
@@ -583,7 +621,6 @@ unsigned Simulator::fetchThread(unsigned Tid, unsigned MaxBundles) {
         break;
       }
 
-      T.FrontQ.push_back(std::move(S));
       if (T.FetchWaitingOnEvent || T.FetchStopped) {
         EndCycle = true;
         break;
@@ -610,17 +647,16 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   Thread &T = Threads[Tid];
   const DecodedInst &D = *S.DI;
   S.Issued = true;
-  S.IssueCycle = Now;
   uint64_t Complete = Now + D.Latency;
+  cache::Level ServedBy = cache::Level::L1;
 
-  if (S.Out.IsMem) {
-    bool Collect = !T.Speculative && S.Out.IsLoad;
+  if (S.IsMem) {
+    bool Collect = !T.Speculative && S.IsLoad;
     cache::AccessResult R =
-        Cache.access(S.Out.MemAddr, Now, S.LI->Sid, Tid, Collect);
-    S.ServedBy = R.ServedBy;
-    S.Partial = R.Partial;
+        Cache.access(S.MemAddr, Now, S.LI->Sid, Tid, Collect);
+    ServedBy = R.ServedBy;
     noteDataAccess(Tid, S, R);
-    if (S.Out.IsLoad) {
+    if (S.IsLoad) {
       Complete = R.ReadyCycle;
       if (!T.Speculative && R.ServedBy != cache::Level::L1)
         MainOutstanding.push_back({R.ReadyCycle, R.ServedBy});
@@ -628,7 +664,7 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
       // Stores and prefetches occupy the port but never block the thread.
       Complete = Now + 1;
     }
-    if (S.Out.WildLoad)
+    if (S.WildLoad)
       ++Stats.SpecWildLoads;
   }
 
@@ -636,7 +672,7 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   if (Cfg.Pipeline == PipelineKind::OutOfOrder) {
     // Completion is always in the future (latencies and store/prefetch
     // port occupancy are >= 1), so the new entry joins the pending set.
-    ++T.PendingCompletions;
+    T.InFlight.push_back(&S);
     if (Complete < T.MinPendingComplete)
       T.MinPendingComplete = Complete;
   }
@@ -646,18 +682,17 @@ void Simulator::applyIssueTiming(unsigned Tid, InstSlot &S) {
   if (D.Def != DecodedInst::NoReg) {
     T.RegReady[D.Def] = Complete;
     T.RegSrcLevel[D.Def] =
-        S.Out.IsLoad ? static_cast<uint8_t>(1 + static_cast<unsigned>(
-                                                    S.ServedBy))
-                     : 0;
+        S.IsLoad ? static_cast<uint8_t>(1 + static_cast<unsigned>(ServedBy))
+                 : 0;
   }
 
-  if (S.Out.HasSpawn)
-    trySpawn(S.Out, Tid);
+  if (S.HasSpawn)
+    trySpawn(S, Tid);
 
   if (S.Resume == ResumeEvent::AtIssue)
     fireResume(Tid, S);
 
-  if (S.Out.Kind == CtrlKind::Halt && !T.Speculative)
+  if (S.Kind == CtrlKind::Halt && !T.Speculative)
     MainDone = true;
 
   if (T.Speculative)
@@ -744,7 +779,7 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
       ++FUUsed[static_cast<unsigned>(FU)];
 
     applyIssueTiming(Tid, S);
-    bool WasKill = S.Out.Kind == CtrlKind::Kill;
+    bool WasKill = S.Kind == CtrlKind::Kill;
     T.FrontQ.pop_front();
     if (WasKill) {
       T.Active = false;
@@ -761,34 +796,32 @@ unsigned Simulator::issueFromThreadInOrder(unsigned Tid, unsigned MaxBundles,
 void Simulator::oooWriteback() {
   for (Thread &T : Threads) {
     T.CompletedThisCycle = false;
-    if (!T.Active && T.Rob.empty())
+    // Watermark short-circuit: nothing in flight completes before
+    // MinPendingComplete.
+    if (T.InFlight.empty() || T.MinPendingComplete > Now)
       continue;
-    // Watermark short-circuit: nothing in this thread's ROB completes
-    // before MinPendingComplete, so skip the scan until it is due.
-    if (T.PendingCompletions == 0 || T.MinPendingComplete > Now)
-      continue;
+    // Completions touch only their own slot and the rename entry of their
+    // own destination (at most one in-flight writer holds it), so the
+    // list's order does not matter.
     uint64_t NewMin = UINT64_MAX;
-    unsigned Pending = 0;
-    for (InstSlot &S : T.Rob) {
-      if (!S.Issued || S.Completed)
-        continue;
-      if (S.CompleteCycle > Now) {
-        if (S.CompleteCycle < NewMin)
-          NewMin = S.CompleteCycle;
-        ++Pending;
+    size_t Keep = 0;
+    for (InstSlot *S : T.InFlight) {
+      if (S->CompleteCycle > Now) {
+        NewMin = std::min(NewMin, S->CompleteCycle);
+        T.InFlight[Keep++] = S;
         continue;
       }
-      S.Completed = true;
+      S->Completed = true;
       T.CompletedThisCycle = true;
       ActivityThisCycle = true;
-      const DecodedInst &D = *S.DI;
-      if (D.Def != DecodedInst::NoReg && T.RegProd[D.Def] == &S) {
+      const DecodedInst &D = *S->DI;
+      if (D.Def != DecodedInst::NoReg && T.RegProd[D.Def] == S) {
         T.RegProd[D.Def] = nullptr;
-        T.RegReady[D.Def] = S.CompleteCycle;
+        T.RegReady[D.Def] = S->CompleteCycle;
       }
     }
+    T.InFlight.resize(Keep);
     T.MinPendingComplete = NewMin;
-    T.PendingCompletions = Pending;
   }
 }
 
@@ -799,20 +832,17 @@ void Simulator::oooResolveRS() {
     // where this thread's writeback completed something.
     if (!T.CompletedThisCycle)
       continue;
-    for (InstSlot &S : T.Rob) {
-      if (!S.Dispatched || S.Issued || S.NumProd == 0)
-        continue;
+    for (InstSlot *S : T.Rs) {
       unsigned Keep = 0;
-      for (unsigned I = 0; I < S.NumProd; ++I) {
-        InstSlot *P = S.Prod[I];
-        if (P->Completed) {
-          S.OperandReadyCycle =
-              std::max(S.OperandReadyCycle, P->CompleteCycle);
-        } else {
-          S.Prod[Keep++] = P;
-        }
+      for (unsigned I = 0; I < S->NumProd; ++I) {
+        InstSlot *P = S->Prod[I];
+        if (P->Completed)
+          S->OperandReadyCycle =
+              std::max(S->OperandReadyCycle, P->CompleteCycle);
+        else
+          S->Prod[Keep++] = P;
       }
-      S.NumProd = Keep;
+      S->NumProd = static_cast<uint8_t>(Keep);
     }
   }
 }
@@ -827,8 +857,8 @@ void Simulator::oooRetire() {
         break;
       if (S.Resume == ResumeEvent::AtRetire)
         fireResume(Tid, S);
-      bool WasKill = S.Out.Kind == CtrlKind::Kill;
-      bool WasHalt = S.Out.Kind == CtrlKind::Halt;
+      bool WasKill = S.Kind == CtrlKind::Kill;
+      bool WasHalt = S.Kind == CtrlKind::Halt;
       // Clear any rename-map entry still pointing at this slot before the
       // storage is reclaimed.
       const DecodedInst &D = *S.DI;
@@ -848,24 +878,16 @@ void Simulator::oooRetire() {
 }
 
 void Simulator::oooIssue() {
-  // Gather ready reservation-station entries, oldest first, into the
-  // reused candidate buffer.
+  // Gather ready reservation-station entries into the reused candidate
+  // buffer in thread order, then ROB order: the sort below is not stable,
+  // so this order decides among equal keys.
   ReadyBuf.clear();
-  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid) {
-    Thread &T = Threads[Tid];
-    if (T.RsCount == 0)
-      continue;
-    // RsCount entries are dispatched-but-unissued; stop once all seen.
-    unsigned Left = T.RsCount;
-    for (InstSlot &S : T.Rob) {
-      if (!S.Dispatched || S.Issued)
-        continue;
-      if (S.NumProd == 0 && S.OperandReadyCycle <= Now)
-        ReadyBuf.push_back({&S, Tid});
-      if (--Left == 0)
-        break;
-    }
-  }
+  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid)
+    for (InstSlot *S : Threads[Tid].Rs)
+      if (S->NumProd == 0 && S->OperandReadyCycle <= Now)
+        ReadyBuf.push_back({S, Tid});
+  if (ReadyBuf.empty())
+    return;
   std::sort(ReadyBuf.begin(), ReadyBuf.end(),
             [](const Cand &A, const Cand &B) {
               if (A.S->FetchCycle != B.S->FetchCycle)
@@ -886,10 +908,13 @@ void Simulator::oooIssue() {
     if (FU != FuncUnit::None)
       ++FUUsed[static_cast<unsigned>(FU)];
     applyIssueTiming(C.Tid, *C.S);
-    assert(Threads[C.Tid].RsCount > 0);
-    --Threads[C.Tid].RsCount;
     ++IssuedCount;
   }
+  // Issued entries leave the reservation stations (order kept).
+  for (unsigned Tid = 0; Tid < Threads.size(); ++Tid)
+    if (IssuedThisCycle[Tid] > 0)
+      std::erase_if(Threads[Tid].Rs,
+                    [](const InstSlot *S) { return S->Issued; });
 }
 
 void Simulator::oooDispatch() {
@@ -927,7 +952,7 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
     InstSlot &Head = T.FrontQ.front();
     if (Head.EligibleCycle > Now)
       break;
-    if (T.Rob.size() >= Cfg.RobEntries || T.RsCount >= Cfg.RsEntries)
+    if (T.Rob.size() >= Cfg.RobEntries || T.Rs.size() >= Cfg.RsEntries)
       break;
     if (Head.LI->BundleId != CurBundle && Bundles == MaxBundles)
       break;
@@ -936,11 +961,9 @@ unsigned Simulator::oooDispatchThread(unsigned Tid, unsigned MaxBundles) {
       ++Bundles;
     }
 
-    T.Rob.push_back(std::move(Head));
+    InstSlot &S = T.Rob.push_back(Head);
     T.FrontQ.pop_front();
-    InstSlot &S = T.Rob.back();
-    S.Dispatched = true;
-    ++T.RsCount;
+    T.Rs.push_back(&S);
 
     // Capture operand producers (register renaming happens here: each use
     // binds to the latest prior writer of that register).
@@ -1075,26 +1098,20 @@ uint64_t Simulator::nextEventCycle() const {
           }
         if (!AnyUnready)
           Consider(Now + 1); // Ready head: issues next tick (defensive).
-      } else if (T.Rob.size() < Cfg.RobEntries && T.RsCount < Cfg.RsEntries) {
+      } else if (T.Rob.size() < Cfg.RobEntries &&
+                 T.Rs.size() < Cfg.RsEntries) {
         Consider(Now + 1); // Eligible head with ROB/RS space: dispatches.
       }
     }
     if (!InOrder) {
-      if (T.PendingCompletions > 0)
+      if (!T.InFlight.empty())
         Consider(std::max(T.MinPendingComplete, Now + 1));
       if (!T.Rob.empty() && T.Rob.front().Completed)
         Consider(Now + 1); // Retirement backlog (the 6-per-cycle cap).
       // Dispatched entries whose operands are (or become) ready.
-      unsigned Left = T.RsCount;
-      if (Left > 0)
-        for (const InstSlot &S : T.Rob) {
-          if (!S.Dispatched || S.Issued)
-            continue;
-          if (S.NumProd == 0)
-            Consider(std::max(S.OperandReadyCycle, Now + 1));
-          if (--Left == 0)
-            break;
-        }
+      for (const InstSlot *S : T.Rs)
+        if (S->NumProd == 0)
+          Consider(std::max(S->OperandReadyCycle, Now + 1));
     }
   }
 
@@ -1393,8 +1410,8 @@ SimStats Simulator::runSampled() {
 
   // Extrapolation: every rate-like counter scales by the ratio of total
   // main-thread instructions to *measured* detailed main-thread
-  // instructions. MainInsts itself is exact (detail-issued plus
-  // functional).
+  // instructions. MainInsts itself is counted, not scaled (detail-issued
+  // plus functional).
   const uint64_t DetailMain = DetailMainInsts;
   const uint64_t TotalMain = Stats.MainInsts + FunctionalInsts;
   const double Ratio = DetailMain == 0 ? 1.0

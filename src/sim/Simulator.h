@@ -34,8 +34,9 @@
 #include "sim/SimStats.h"
 #include "sim/ThreadContext.h"
 
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -68,33 +69,71 @@ private:
   /// What event re-enables fetch for a thread blocked on this instruction.
   enum class ResumeEvent : uint8_t { None, AtIssue, AtRetire };
 
-  /// One fetched instruction flowing through the pipeline.
+  /// One fetched instruction flowing through the pipeline. It carries the
+  /// scalar part of the instruction's ExecOutcome; a spawn's live-in frame
+  /// waits in the simulator's SpawnFrames store until the spawn issues.
   struct InstSlot {
     const ir::LinkedInst *LI = nullptr;
     const ir::DecodedInst *DI = nullptr; ///< Predecoded form of *LI.
-    ExecOutcome Out;
+    uint64_t MemAddr = 0;
     uint64_t FetchCycle = 0;
     uint64_t EligibleCycle = 0; ///< Earliest issue/dispatch cycle.
-    bool Mispredicted = false;
-
-    ResumeEvent Resume = ResumeEvent::None;
-    uint32_t ResumeDelay = 0;
-
-    // Timing state.
-    bool Dispatched = false; ///< OOO: moved into the ROB/RS.
-    bool Issued = false;
-    bool Completed = false;
-    uint64_t IssueCycle = 0;
     uint64_t CompleteCycle = 0;
 
     // OOO operand tracking: producers still in flight at dispatch.
     InstSlot *Prod[2] = {nullptr, nullptr};
-    unsigned NumProd = 0;
     uint64_t OperandReadyCycle = 0;
 
-    // Load service classification (set at issue).
-    cache::Level ServedBy = cache::Level::L1;
-    bool Partial = false;
+    uint32_t SpawnTargetAddr = 0;
+    uint32_t SpawnFrame = 0; ///< HasSpawn: index into SpawnFrames.
+    uint32_t ResumeDelay = 0;
+    ResumeEvent Resume = ResumeEvent::None;
+
+    // Outcome flags (ExecOutcome's scalars).
+    CtrlKind Kind = CtrlKind::Fall;
+    bool IsMem = false;
+    bool IsLoad = false;
+    bool WildLoad = false;
+    bool HasSpawn = false;
+
+    // Timing state.
+    bool Issued = false;
+    bool Completed = false;
+    uint8_t NumProd = 0;
+  };
+
+  /// Fixed-capacity FIFO of pipeline slots: a ring over storage that the
+  /// simulator allocates once (SlotStore), so the queues allocate nothing
+  /// per instruction. Slots never move while queued, so the OOO index
+  /// lists and the rename map point straight into it; a slot is reused
+  /// only after it retires, when nothing points at it any more.
+  class SlotQueue {
+  public:
+    /// Uses the \p Cap slots at \p Storage; \p Cap is a power of two.
+    void attach(InstSlot *Storage, size_t Cap) {
+      Buf = Storage;
+      Mask = Cap - 1;
+      clear();
+    }
+    bool empty() const { return Count == 0; }
+    size_t size() const { return Count; }
+    InstSlot &front() { return Buf[Head]; }
+    const InstSlot &front() const { return Buf[Head]; }
+    InstSlot &push_back(const InstSlot &V) {
+      assert(Count <= Mask && "pipeline queue over capacity");
+      InstSlot &S = Buf[(Head + Count++) & Mask];
+      S = V;
+      return S;
+    }
+    void pop_front() {
+      Head = (Head + 1) & Mask;
+      --Count;
+    }
+    void clear() { Head = Count = 0; }
+
+  private:
+    InstSlot *Buf = nullptr;
+    size_t Mask = 0, Head = 0, Count = 0;
   };
 
   /// Per-hardware-context simulation state.
@@ -116,16 +155,19 @@ private:
     uint32_t SpawnDepth = 0;
     ThreadContext Ctx;
 
-    std::deque<InstSlot> FrontQ; ///< Expansion queue / decode queue.
-    std::deque<InstSlot> Rob;    ///< OOO only.
-    unsigned RsCount = 0;        ///< OOO: dispatched but not issued.
+    SlotQueue FrontQ; ///< Expansion queue / decode queue.
+    SlotQueue Rob;    ///< OOO only.
 
-    // OOO completion watermark: earliest CompleteCycle among issued,
-    // not-yet-completed ROB entries, and how many there are. Lets
-    // writeback, RS resolution and the next-event computation skip
-    // threads with nothing due instead of rescanning the full ROB.
+    // OOO index lists into Rob, so the per-cycle phases touch only live
+    // entries instead of scanning the ROB. Rs holds the dispatched, not yet
+    // issued entries in ROB order (the reservation stations; its size is
+    // the RS occupancy); InFlight holds the issued, not yet completed ones
+    // in no particular order.
+    std::vector<InstSlot *> Rs;
+    std::vector<InstSlot *> InFlight;
+    /// Earliest CompleteCycle in InFlight: writeback skips the thread
+    /// until it is due.
     uint64_t MinPendingComplete = UINT64_MAX;
-    unsigned PendingCompletions = 0;
     bool CompletedThisCycle = false; ///< Writeback completed something now.
 
     uint64_t FetchResumeCycle = 0;
@@ -133,7 +175,6 @@ private:
 
     uint64_t LastFetchCycle = 0;
     uint64_t LastIssueCycle = 0;
-    uint64_t SeqCounter = 0;
 
     // In-order scoreboard: cycle each register becomes available, plus the
     // cache level that produced it (for Figure 10 stall classification).
@@ -147,13 +188,12 @@ private:
       Ctx.reset();
       FrontQ.clear();
       Rob.clear();
-      RsCount = 0;
+      Rs.clear();
+      InFlight.clear();
       FetchResumeCycle = 0;
       FetchWaitingOnEvent = false;
       FetchStopped = false;
-      SeqCounter = 0;
       MinPendingComplete = UINT64_MAX;
-      PendingCompletions = 0;
       CompletedThisCycle = false;
       for (unsigned I = 0; I < ir::Reg::NumDenseIndices; ++I) {
         RegReady[I] = 0;
@@ -187,7 +227,9 @@ private:
   // Helpers.
   void applyIssueTiming(unsigned Tid, InstSlot &S);
   void fireResume(unsigned Tid, const InstSlot &S);
-  void trySpawn(const ExecOutcome &Out, unsigned SpawnerTid);
+  /// Starts the thread requested by spawn \p S, or counts a drop, and
+  /// returns its frame to the SpawnFrames store either way.
+  void trySpawn(const InstSlot &S, unsigned SpawnerTid);
   bool hasFreeContext() const;
   /// chk.c availability check: a free context exists and the trigger is
   /// not dynamically throttled.
@@ -239,6 +281,9 @@ private:
   cache::CacheHierarchy Cache;
   branch::BranchPredictor Bpred;
   std::vector<Thread> Threads;
+  /// Backing slots of every thread's FrontQ and Rob rings, allocated in
+  /// the constructor as one block and never resized.
+  std::vector<InstSlot> SlotStore;
   SimStats Stats;
 
   uint64_t Now = 0;
@@ -253,6 +298,16 @@ private:
   bool ThrottlePow2 = false;
   unsigned IssuedThisCycle[8] = {};
   std::vector<std::pair<uint64_t, cache::Level>> MainOutstanding;
+
+  /// Reused outcome buffer for executeStep at fetch; its spawn frame is
+  /// copied into SpawnFrames only when the instruction spawns.
+  ExecOutcome FetchOut;
+  /// Live-in frames of fetched spawns that have not issued yet, indexed by
+  /// InstSlot::SpawnFrame. A frame is taken at fetch and returned by
+  /// trySpawn, so the store holds at most as many frames as there are
+  /// spawns in the fetch/issue window at once.
+  std::vector<std::array<uint64_t, MaxLIBSlots>> SpawnFrames;
+  std::vector<uint32_t> FreeSpawnFrames;
 
   /// Reused issue-candidate buffer for oooIssue (hoisted out of the
   /// per-cycle hot path; cleared, never shrunk).

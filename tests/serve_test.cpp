@@ -234,6 +234,12 @@ TEST(Serve, MalformedFramingIsRejectedWithLocatedErrors) {
        "bad payload length"},
       {"truncated payload", "request x\nprogram 4096\nshort", "x",
        "truncated payload (got 5 of 4096 bytes)"},
+      // A declared length far beyond the input must not be allocated up
+      // front (std::length_error / std::bad_alloc).
+      {"2^64-1 byte payload", "request x\nprogram 18446744073709551615\n",
+       "x", "line 2: truncated payload (got 0 of 18446744073709551615 bytes)"},
+      {"40 GB payload", "request x\nprogram 40000000000\nabc", "x",
+       "truncated payload (got 3 of 40000000000 bytes)"},
       {"unknown section",
        "request x\nbogus section\nend\n", "x",
        "expected 'program', 'profile', 'option', or 'end'"},

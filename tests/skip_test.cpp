@@ -6,7 +6,8 @@
 // completes or retires, bulk-accounting the Figure-10 classification for
 // the span; these tests pin every counter — including CatCycles and the
 // throttle counters — across both modes, for every registered workload on
-// both machine models, in the style of tests/parallel_test.cpp.
+// both machine models, in the style of tests/parallel_test.cpp. The
+// indirect suite runs adapted with stream descriptors.
 //
 // SkippedCycles / SkipEvents are simulator diagnostics that differ between
 // the modes by design and are deliberately excluded from the comparison.
@@ -41,6 +42,8 @@ void expectStatsEqual(const sim::SimStats &Skip, const sim::SimStats &NoSkip,
   EXPECT_EQ(Skip.SpecPrefetches, NoSkip.SpecPrefetches);
   EXPECT_EQ(Skip.UsefulPrefetches, NoSkip.UsefulPrefetches);
   EXPECT_EQ(Skip.ThrottleEvents, NoSkip.ThrottleEvents);
+  EXPECT_EQ(Skip.StreamActivations, NoSkip.StreamActivations);
+  EXPECT_EQ(Skip.StreamSteps, NoSkip.StreamSteps);
 
   EXPECT_EQ(Skip.Branches, NoSkip.Branches);
   EXPECT_EQ(Skip.BranchMispredicts, NoSkip.BranchMispredicts);
@@ -68,6 +71,19 @@ void expectStatsEqual(const sim::SimStats &Skip, const sim::SimStats &NoSkip,
       EXPECT_EQ(SA.Partials[L], SB.Partials[L]);
     }
     ++ItB;
+  }
+
+  ASSERT_EQ(Skip.Attribution.size(), NoSkip.Attribution.size());
+  for (size_t I = 0; I < Skip.Attribution.size(); ++I) {
+    const sim::PrefetchAttribution &A = Skip.Attribution[I];
+    const sim::PrefetchAttribution &B = NoSkip.Attribution[I];
+    EXPECT_EQ(A.Trigger, B.Trigger);
+    EXPECT_EQ(A.Slice, B.Slice);
+    EXPECT_EQ(A.Spawns, B.Spawns);
+    EXPECT_EQ(A.MaxChainDepth, B.MaxChainDepth);
+    for (unsigned F = 0; F < sim::NumPrefetchFates; ++F)
+      EXPECT_EQ(A.Fates[F], B.Fates[F]) << "fate " << F;
+    EXPECT_EQ(A.LateCycles, B.LateCycles);
   }
 
   // A serial run never skips; the diagnostics must say so.
@@ -124,6 +140,22 @@ TEST_P(SkipDifferential, PaperSuiteEnhanced) {
   for (const workloads::Workload &W : workloads::paperSuite()) {
     SCOPED_TRACE(W.Name);
     diffOnPipe(enhance(W), W, GetParam(), "enhanced " + W.Name);
+  }
+}
+
+// The indirect suite adapted with stream descriptors: the stream engine's
+// step and gather events interleave with the pipeline's own (RS operand
+// readiness, completions), and a skipped span must stop at each of them.
+TEST_P(SkipDifferential, IndirectSuiteStreams) {
+  core::ToolOptions Opts = runner().options();
+  Opts.EnableStreams = true;
+  for (const workloads::Workload &W : workloads::streamSuite()) {
+    SCOPED_TRACE(W.Name);
+    ir::Program P =
+        core::PostPassTool(runner().originalOf(W), runner().profileOf(W), Opts)
+            .adapt();
+    ASSERT_FALSE(P.streams().empty()) << W.Name;
+    diffOnPipe(P, W, GetParam(), "streams " + W.Name);
   }
 }
 
