@@ -119,6 +119,13 @@ grep -q '^response r2 ok$' build-ci/served.txt
 printf 'request bad\nprogram 18446744073709551615\n' |
   ./build-ci/tools/ssp-adaptd >build-ci/hostile.txt
 grep -q '^response bad error$' build-ci/hostile.txt
+# ssp-adapt parses --feedback=N through the daemon's option table, so a
+# count the daemon rejects (a signed one) must fail the CLI too.
+if ./build-ci/tools/ssp-adapt examples/listsum.ssp --feedback=+1 \
+  >/dev/null 2>&1; then
+  echo "error: ssp-adapt accepted --feedback=+1" >&2
+  exit 1
+fi
 # The load generator re-checks every response byte-for-byte against the
 # one-shot tool output and reports cold/warm throughput + latency. The
 # warm-over-cold speedup is only gated on quiet machines (SSP_CI_SPEEDUP,

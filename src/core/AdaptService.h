@@ -19,7 +19,7 @@
 ///   request  := "request " ID "\n" section* "end\n"
 ///   section  := "program " N "\n" <N bytes> ["\n"]     (.ssp text)
 ///             | "profile " N "\n" <N bytes> ["\n"]     (.sspprof text)
-///             | "option " KEY "=" VALUE "\n"
+///             | "option " KEY "=" VALUE "\n"           (core/OptionTable.h)
 ///
 /// The newline after a length-prefixed payload is optional — it is
 /// consumed when present, so `cat file` framing (where the file's own

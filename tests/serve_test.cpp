@@ -261,8 +261,9 @@ TEST(Serve, MalformedFramingIsRejectedWithLocatedErrors) {
     SCOPED_TRACE(C.Name);
     std::string Out = S.processBatch(C.Session);
     expectErrorResponse(Out, C.Id, C.Msg);
-    if (C.Located)
+    if (C.Located) {
       EXPECT_NE(Out.find("line "), std::string::npos) << Out;
+    }
   }
   // The service is still alive and fully functional.
   EXPECT_EQ(S.processBatch(frameRequest("ok", J.Prog, J.Prof)),

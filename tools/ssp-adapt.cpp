@@ -68,6 +68,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Feedback.h"
+#include "core/OptionTable.h"
 #include "core/PostPassTool.h"
 #include "core/ReportRender.h"
 #include "ir/Parser.h"
@@ -77,8 +78,6 @@
 #include "support/FlagParser.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -133,6 +132,12 @@ int main(int argc, char **argv) {
   Opts.Jobs = 0;
   obs::Registry Metrics;
   std::vector<std::string> Paths;
+  // Flag values that are also request options parse through the option
+  // table, so the CLI accepts exactly the spellings ssp-adaptd does.
+  auto Option = [&](const char *Key, const char *Value) {
+    std::string Msg;
+    return core::applyOption(Opts, Key, Value, Msg);
+  };
   support::FlagParser Parser(argc, argv);
   Parser.flag("--emit", Emit)
       .flag("--run", Run)
@@ -141,14 +146,7 @@ int main(int argc, char **argv) {
       .flagEq("--spec-deps",
               [&](const char *V) {
                 Opts.EnableSpecDeps = true;
-                if (!V)
-                  return true;
-                char *End = nullptr;
-                double D = std::strtod(V, &End);
-                if (*V == '\0' || *End != '\0' || !(D >= 0.0 && D <= 1.0))
-                  return false;
-                Opts.SpecDepThreshold = D;
-                return true;
+                return !V || Option("spec-threshold", V);
               })
       .flag("--streams", Opts.EnableStreams)
       .flag("--metrics", MetricsPath)
@@ -156,15 +154,9 @@ int main(int argc, char **argv) {
       .flag("--emit-profile", EmitProfilePath)
       .flagEq("--feedback",
               [&](const char *V) {
-                if (!V) {
-                  Opts.FeedbackRounds = core::FeedbackOptions().MaxRounds;
-                  return true;
-                }
-                char *End = nullptr;
-                unsigned long N = std::strtoul(V, &End, 10);
-                if (*V == '\0' || *End != '\0' || N > 64)
-                  return false;
-                Opts.FeedbackRounds = static_cast<unsigned>(N);
+                if (V)
+                  return Option("feedback-rounds", V);
+                Opts.FeedbackRounds = core::FeedbackOptions().MaxRounds;
                 return true;
               })
       .flagEq("--sample",
@@ -229,7 +221,7 @@ int main(int argc, char **argv) {
     }
     if (PD.BlockCounts.size() != Orig.numFuncs()) {
       std::fprintf(stderr,
-                   "%s: profile has %zu functions, program has %u\n",
+                   "%s: profile has %zu functions, program has %zu\n",
                    ProfilePath, PD.BlockCounts.size(), Orig.numFuncs());
       return 1;
     }
