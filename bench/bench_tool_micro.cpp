@@ -219,7 +219,7 @@ StageTimes measureStages(const workloads::Workload &W, unsigned Jobs) {
       benchmark::DoNotOptimize(Slice.Insts.size());
     });
     if (Slice.Valid) {
-      sched::SliceScheduler Sched = AC.makeScheduler();
+      const sched::SliceScheduler &Sched = AC.scheduler();
       T.SchedMs = bestOfMs(5, [&] {
         sched::ScheduledSlice SS =
             Sched.schedule(Slice, sched::SPModel::Chaining);

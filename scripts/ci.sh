@@ -101,10 +101,12 @@ echo "== Serving layer (ssp-adaptd pipe + bench-serve) =="
 # flush boundary) through a real ssp-adaptd pipe; both must come back ok.
 ./build-ci/tools/ssp-adapt examples/listsum.ssp \
   --emit-profile build-ci/listsum.sspprof >/dev/null
-serve_request() { # id program profile
+serve_request() { # id program profile [option-line...]
   printf 'request %s\n' "$1"
   printf 'program %s\n' "$(wc -c <"$2")"; cat "$2"
   printf 'profile %s\n' "$(wc -c <"$3")"; cat "$3"
+  shift 3
+  for opt in "$@"; do printf 'option %s\n' "$opt"; done
   printf 'end\n'
 }
 {
@@ -114,6 +116,21 @@ serve_request() { # id program profile
 } | ./build-ci/tools/ssp-adaptd >build-ci/served.txt
 grep -q '^response r1 ok$' build-ci/served.txt
 grep -q '^response r2 ok$' build-ci/served.txt
+# Two analysis-option texts for one program: two option states built over
+# one shared program layer (parsed once, analysed once).
+{
+  serve_request d1 examples/listsum.ssp build-ci/listsum.sspprof
+  serve_request s1 examples/listsum.ssp build-ci/listsum.sspprof spec-deps=1
+} | ./build-ci/tools/ssp-adaptd --metrics build-ci/served.metrics.json \
+  >build-ci/served-layers.txt
+grep -q '^response d1 ok$' build-ci/served-layers.txt
+grep -q '^response s1 ok$' build-ci/served-layers.txt
+python3 - build-ci/served.metrics.json <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("serve.warm_builds") == 2, c
+assert c.get("serve.program_builds") == 1, c
+PY
 # A frame declaring a 2^64-1 byte payload must end in an error response,
 # not a daemon abort.
 printf 'request bad\nprogram 18446744073709551615\n' |

@@ -30,9 +30,11 @@ public:
 
   explicit InstIndex(const ir::Program &P) {
     BlockOff.reserve(P.numFuncs());
+    FuncBase.reserve(P.numFuncs() + 1);
     for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
       const ir::Function &F = P.func(FI);
       BlockOff.push_back(static_cast<uint32_t>(BlockBase.size()));
+      FuncBase.push_back(static_cast<uint32_t>(Refs.size()));
       for (uint32_t BI = 0; BI < F.numBlocks(); ++BI) {
         BlockBase.push_back(static_cast<uint32_t>(Refs.size()));
         const ir::BasicBlock &BB = F.block(BI);
@@ -40,6 +42,7 @@ public:
           Refs.push_back({FI, BI, II});
       }
     }
+    FuncBase.push_back(static_cast<uint32_t>(Refs.size()));
   }
 
   uint32_t numInsts() const { return static_cast<uint32_t>(Refs.size()); }
@@ -49,12 +52,18 @@ public:
     return BlockBase[BlockOff[R.Func] + R.Block] + R.Inst;
   }
 
+  /// Id of the first instruction of \p Func. A function's ids are the
+  /// contiguous range [firstId(Func), firstId(Func + 1)); Func may be
+  /// numFuncs(), which gives numInsts().
+  uint32_t firstId(uint32_t Func) const { return FuncBase[Func]; }
+
   /// Position of dense id \p Id.
   const InstRef &ref(uint32_t Id) const { return Refs[Id]; }
 
 private:
   std::vector<uint32_t> BlockOff;  ///< Func -> first entry in BlockBase.
   std::vector<uint32_t> BlockBase; ///< (Func, Block) -> id of first inst.
+  std::vector<uint32_t> FuncBase;  ///< Func -> id of first inst (+ end).
   std::vector<InstRef> Refs;       ///< Id -> position.
 };
 

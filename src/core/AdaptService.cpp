@@ -68,46 +68,48 @@ struct AdaptService::Request {
   }
 };
 
-struct AdaptService::WarmEntry {
-  std::string ProgramText, ProfileText, AnalysisOpts;
-  slicer::SliceOptions SliceOpts;
-  sched::ScheduleOptions SchedOpts;
-  analysis::SpecDepOptions SpecOpts;
+struct AdaptService::WarmProgram {
+  std::string ProgramText, ProfileText;
 
   ir::Program Prog;
   ir::DataImage Data;
   profile::ProfileData PD;
-  std::optional<AnalysisCache> AC;
-  std::string Error; ///< Parse/validation failure; sticky for reuse.
+  std::optional<ProgramAnalyses> Analyses;
+  std::string Error; ///< Parse/validation failure.
   bool Built = false;
 
-  /// Parses and validates the texts, then builds the analyses. Runs on a
-  /// pool worker; touches only this entry.
+  /// Parses and validates the texts, then builds the program analyses.
+  /// Runs on a pool worker; touches only this entry. A failure keeps only
+  /// the message: the parsed parts are dropped, and no later option state
+  /// attaches to this entry (findWarm builds a fresh one instead).
   void build() {
     Built = true;
+    Error = parseAndValidate();
+    if (Error.empty()) {
+      Analyses.emplace(Prog, PD);
+      return;
+    }
+    Prog = ir::Program();
+    Data = ir::DataImage();
+    PD = profile::ProfileData();
+  }
+
+  std::string parseAndValidate() {
     std::string Err;
-    if (!ir::parseProgram(ProgramText, Prog, Err, &Data)) {
-      Error = "program: " + Err;
-      return;
-    }
+    if (!ir::parseProgram(ProgramText, Prog, Err, &Data))
+      return "program: " + Err;
     std::vector<std::string> Diags = ir::verify(Prog);
-    if (!Diags.empty()) {
-      Error = "program: " + Diags.front();
-      return;
-    }
-    if (!profile::parseProfileText(ProfileText, PD, Err)) {
-      Error = "profile: " + Err;
-      return;
-    }
+    if (!Diags.empty())
+      return "program: " + Diags.front();
+    if (!profile::parseProfileText(ProfileText, PD, Err))
+      return "profile: " + Err;
     // Cross-validate the profile against the program: sizes the parser
     // cannot know, and the call records CallGraph::build indexes with.
-    if (PD.BlockCounts.size() != Prog.numFuncs()) {
-      Error = "profile: function count " +
-              std::to_string(PD.BlockCounts.size()) +
-              " does not match program (" +
-              std::to_string(Prog.numFuncs()) + " functions)";
-      return;
-    }
+    if (PD.BlockCounts.size() != Prog.numFuncs())
+      return "profile: function count " +
+             std::to_string(PD.BlockCounts.size()) +
+             " does not match program (" + std::to_string(Prog.numFuncs()) +
+             " functions)";
     auto SiteOk = [&](const analysis::InstRef &Site) {
       return Site.Func < Prog.numFuncs() &&
              Site.Block < Prog.func(Site.Func).numBlocks() &&
@@ -115,17 +117,38 @@ struct AdaptService::WarmEntry {
                  Prog.func(Site.Func).block(Site.Block).Insts.size();
     };
     for (const analysis::DirectCallCount &C : PD.CallSiteCounts)
-      if (!SiteOk(C.Site)) {
-        Error = "profile: call site " + C.Site.str() + " out of range";
-        return;
-      }
+      if (!SiteOk(C.Site))
+        return "profile: call site " + C.Site.str() + " out of range";
     for (const analysis::IndirectCallTarget &T : PD.IndirectTargets)
-      if (!SiteOk(T.Site) || T.Callee >= Prog.numFuncs()) {
-        Error = "profile: icall record " + T.Site.str() + " -> fn" +
-                std::to_string(T.Callee) + " out of range";
-        return;
-      }
-    AC.emplace(Prog, PD, SliceOpts, SchedOpts, SpecOpts);
+      if (!SiteOk(T.Site) || T.Callee >= Prog.numFuncs())
+        return "profile: icall record " + T.Site.str() + " -> fn" +
+               std::to_string(T.Callee) + " out of range";
+    return "";
+  }
+};
+
+struct AdaptService::WarmEntry {
+  std::shared_ptr<WarmProgram> Program;
+  std::string AnalysisOpts;
+  slicer::SliceOptions SliceOpts;
+  sched::ScheduleOptions SchedOpts;
+  analysis::SpecDepOptions SpecOpts;
+
+  std::optional<AnalysisCache> AC;
+  std::string Error; ///< The program layer's failure; sticky for reuse.
+  bool Built = false;
+
+  /// Builds the option layer over the (already built) program layer. Runs
+  /// on a pool worker; touches only this entry.
+  void build() {
+    Built = true;
+    if (!Program->Error.empty()) {
+      Error = Program->Error;
+      return;
+    }
+    AC.emplace(std::shared_ptr<const ProgramAnalyses>(Program,
+                                                      &*Program->Analyses),
+               SliceOpts, SchedOpts, SpecOpts);
   }
 };
 
@@ -142,19 +165,33 @@ AdaptService::WarmEntry *
 AdaptService::findWarm(const std::string &ProgramText,
                        const std::string &ProfileText,
                        const std::string &AnalysisOpts) {
+  auto SameTexts = [&](const WarmProgram &P) {
+    return P.ProgramText == ProgramText && P.ProfileText == ProfileText;
+  };
   for (auto It = Warm.begin(); It != Warm.end(); ++It) {
     WarmEntry &E = **It;
-    if (E.ProgramText == ProgramText && E.ProfileText == ProfileText &&
-        E.AnalysisOpts == AnalysisOpts) {
+    if (E.AnalysisOpts == AnalysisOpts && SameTexts(*E.Program)) {
       Warm.splice(Warm.begin(), Warm, It); // Refresh LRU.
       if (Opts.Metrics)
         Opts.Metrics->addCounter("serve.warm_hits");
       return Warm.front().get();
     }
   }
+  // A new option state shares the program layer of a resident sibling
+  // (same texts, other analysis options) unless that layer failed.
   auto E = std::make_unique<WarmEntry>();
-  E->ProgramText = ProgramText;
-  E->ProfileText = ProfileText;
+  for (const std::unique_ptr<WarmEntry> &Sibling : Warm)
+    if (Sibling->Program->Error.empty() && SameTexts(*Sibling->Program)) {
+      E->Program = Sibling->Program;
+      break;
+    }
+  if (!E->Program) {
+    E->Program = std::make_shared<WarmProgram>();
+    E->Program->ProgramText = ProgramText;
+    E->Program->ProfileText = ProfileText;
+    if (Opts.Metrics)
+      Opts.Metrics->addCounter("serve.program_builds");
+  }
   E->AnalysisOpts = AnalysisOpts;
   Warm.push_front(std::move(E));
   if (Opts.Metrics)
@@ -216,8 +253,9 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
 
   // Stage 2 (serial): attach each miss to its warm analysis state,
   // creating unbuilt entries for unseen (program, profile, analysis-
-  // options) triples.
+  // options) triples, over a shared or new program layer.
   std::vector<WarmEntry *> ToBuild;
+  std::vector<WarmProgram *> ProgramsToBuild;
   for (Request &R : Batch) {
     if (!R.isMiss())
       continue;
@@ -230,15 +268,22 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
       if (std::find(ToBuild.begin(), ToBuild.end(), R.Entry) ==
           ToBuild.end())
         ToBuild.push_back(R.Entry);
+      WarmProgram *Prog = R.Entry->Program.get();
+      if (!Prog->Built && std::find(ProgramsToBuild.begin(),
+                                    ProgramsToBuild.end(),
+                                    Prog) == ProgramsToBuild.end())
+        ProgramsToBuild.push_back(Prog);
     }
   }
 
-  // Stage 3 (parallel): parse + analyze new programs, then run every
-  // miss. Each worker touches only its own entry/request slot, and
-  // adaptWith() fans out further on the same pool — the cooperative
-  // parallelFor makes the nesting safe.
+  // Stage 3 (parallel): parse + analyze new programs, then build the new
+  // option states over them, then run every miss. Each worker touches
+  // only its own entry/request slot, and adaptWith() fans out further on
+  // the same pool — the cooperative parallelFor makes the nesting safe.
   {
     obs::ScopedTimerMs T(M, "serve.analysis_ms");
+    Pool.parallelFor(ProgramsToBuild.size(),
+                     [&](size_t I) { ProgramsToBuild[I]->build(); });
     Pool.parallelFor(ToBuild.size(),
                      [&](size_t I) { ToBuild[I]->build(); });
   }
@@ -251,11 +296,12 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
     obs::ScopedTimerMs T(M, "serve.adapt_ms");
     Pool.parallelFor(Misses.size(), [&](size_t I) {
       Request &R = Batch[Misses[I]];
-      WarmEntry &E = *R.Entry;
-      if (!E.Error.empty()) {
-        R.fail(E.Error);
+      if (!R.Entry->Error.empty()) {
+        R.fail(R.Entry->Error);
         return;
       }
+      const WarmProgram &E = *R.Entry->Program;
+      const AnalysisCache &AC = *R.Entry->AC;
       auto Start = std::chrono::steady_clock::now();
       if (R.TO.FeedbackRounds > 0) {
         // Closed-loop serving: the daemon runs the adapt -> simulate ->
@@ -269,14 +315,14 @@ void AdaptService::executeBatch(std::vector<Request> &Batch,
             Mem.write(Addr, Value);
         };
         FeedbackResult FR =
-            runFeedbackLoop(E.Prog, E.PD, R.TO, FO, BuildMemory, &*E.AC);
+            runFeedbackLoop(E.Prog, E.PD, R.TO, FO, BuildMemory, &AC);
         R.Report = renderReportText(E.PD.BaselineCycles, FR.BestReport) +
                    renderFeedbackText(FR);
         R.Binary = FR.Best.str();
       } else {
         PostPassTool Tool(E.Prog, E.PD, R.TO);
         AdaptationReport Rep;
-        ir::Program Enhanced = Tool.adaptWith(&*E.AC, &Rep);
+        ir::Program Enhanced = Tool.adaptWith(&AC, &Rep);
         R.Report = renderReportText(E.PD.BaselineCycles, Rep);
         R.Binary = Enhanced.str();
       }

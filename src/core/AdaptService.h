@@ -8,8 +8,11 @@
 /// The engine behind `tools/ssp-adaptd`: a persistent service that reads
 /// a stream of adaptation requests, executes them batched across one
 /// process-wide ThreadPool, memoizes finished adaptations in a
-/// content-addressed ServeCache, and keeps per-program analyses warm
-/// (parsed Program + ProfileData + AnalysisCache) across requests.
+/// content-addressed ServeCache, and keeps analyses warm across requests
+/// in two layers: one program layer per (program, profile) text pair
+/// (parsed Program + DataImage + ProfileData + ProgramAnalyses), shared by
+/// the option states (AnalysisCache) of every analysis-option text seen
+/// for it.
 ///
 /// ## Protocol (stdin-batch)
 ///
@@ -80,7 +83,8 @@ struct ServeOptions {
   uint64_t CacheBytes = 64ull << 20;
 
   /// How many warm (program, profile, analysis-options) analysis states
-  /// to keep alive across requests.
+  /// to keep alive across requests. Program layers are not counted: each
+  /// lives as long as one of these states refers to it.
   unsigned WarmPrograms = 8;
 
   /// Optional metrics sink: serve.* counters, per-stage timers, and the
@@ -114,6 +118,7 @@ public:
 
 private:
   struct Request;
+  struct WarmProgram;
   struct WarmEntry;
 
   void executeBatch(std::vector<Request> &Batch, std::ostream &Out);
@@ -124,9 +129,11 @@ private:
   ServeOptions Opts;
   support::ThreadPool Pool;
   ServeCache Cache;
-  /// Warm per-program analysis states, most recently used first. Entries
-  /// own the parsed Program/ProfileData the AnalysisCache references, so
-  /// a result-cache miss on a known program skips parsing and analysis.
+  /// Warm option states, most recently used first. Each holds its
+  /// program layer (the parsed texts and their option-free analyses)
+  /// through a shared_ptr, so a result-cache miss on a known program skips
+  /// parsing and analysis, and a new option state for a resident program
+  /// skips parsing and the program analyses.
   std::list<std::unique_ptr<WarmEntry>> Warm;
   std::vector<double> LatencyUs; ///< Per-request execution wall times.
   uint64_t Served = 0;

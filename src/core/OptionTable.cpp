@@ -83,7 +83,7 @@ bool parseFraction(const std::string &S, double &Out) {
   // The range test also rejects NaN and infinities.
   if (S.empty() || End != S.c_str() + S.size() || !(D >= 0.0 && D <= 1.0))
     return false;
-  Out = D;
+  Out = D + 0.0; // -0 + 0 is +0: "-0" keys like "0".
   return true;
 }
 

@@ -81,7 +81,7 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
   const RegionGraph &RG = AC.regions();
   const CallGraph &CG = AC.calls();
 
-  sched::SliceScheduler Scheduler = AC.makeScheduler();
+  const sched::SliceScheduler &Scheduler = AC.scheduler();
   trigger::TriggerPlacer Placer(Deps, RG, PD);
 
   std::vector<profile::DelinquentLoad> DLoads = profile::selectDelinquentLoads(
@@ -162,10 +162,9 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
       Ov = It->second;
     if (Ov.Drop)
       return;
-    // Worker-private slicer/scheduler: cheap copies sharing the cache's
-    // precomputed summary and call-cost tables, owning only scratch.
+    // Worker-private slicer: a cheap copy sharing the cache's summary
+    // table, owning only scratch. The scheduler is shared as is.
     slicer::Slicer WorkerSlicer = AC.makeSlicer();
-    sched::SliceScheduler WorkerSched = AC.makeScheduler();
 
     uint64_t LoadExecs = 0;
     if (auto It = PD.Loads.find(D.Sid); It != PD.Loads.end())
@@ -248,7 +247,7 @@ Program PostPassTool::adaptWith(const AnalysisCache *ExternalAC,
         for (sched::SPModel M : Models) {
           if (NullPrefetch)
             break;
-          sched::ScheduledSlice Sched = WorkerSched.schedule(S, M);
+          sched::ScheduledSlice Sched = Scheduler.schedule(S, M);
           // Chaining iterates the *chain* loop; procedure regions fire the
           // trigger once per invocation.
           double TripEff = TripPerEntry, EntriesEff = Entries;

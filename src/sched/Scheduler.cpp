@@ -14,10 +14,95 @@ using namespace ssp::sched;
 using namespace ssp::analysis;
 using namespace ssp::ir;
 
+//===----------------------------------------------------------------------===//
+// Region heights
+//===----------------------------------------------------------------------===//
+
+RegionHeights::RegionHeights(const ProgramDeps &Deps, const RegionGraph &RG,
+                             const profile::ProfileData &PD)
+    : Deps(Deps), RG(RG), PD(PD),
+      Slots(std::make_unique<std::atomic<uint64_t>[]>(RG.numRegions())) {
+  for (size_t I = 0; I < RG.numRegions(); ++I)
+    Slots[I].store(Unknown, std::memory_order_relaxed);
+  // Pass 1 uses the flat estimate (no costs yet); pass 2 refines call
+  // costs with the pass-1 per-invocation lengths. Clamped so that deep
+  // recursion cannot blow the estimates up.
+  const Program &P = Deps.program();
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    std::vector<uint32_t> Next(P.numFuncs(), 0);
+    for (uint32_t FI = 0; FI < P.numFuncs(); ++FI)
+      Next[FI] = static_cast<uint32_t>(std::min<uint64_t>(
+          scheduleLength(RG.procedureRegion(FI), CallCosts), 5000));
+    CallCosts = std::move(Next);
+  }
+}
+
+uint64_t RegionHeights::scheduleLength(
+    int RegionIdx, const std::vector<uint32_t> &Costs) const {
+  const Region &R = RG.region(RegionIdx);
+  const Program &P = Deps.program();
+  uint64_t Invocations;
+  if (R.Kind == RegionKind::Loop) {
+    const Loop &L = Deps.forFunction(R.Func).loops().loop(R.LoopIdx);
+    Invocations = PD.blockCount(R.Func, L.Header);
+  } else {
+    Invocations = PD.blockCount(R.Func, Deps.forFunction(R.Func)
+                                            .cfg()
+                                            .entry());
+  }
+  if (Invocations == 0)
+    return 0;
+  uint64_t Total = 0;
+  for (const InstRef &I : regionInstructions(RG, RegionIdx, Deps)) {
+    const Instruction &Inst = I.get(P);
+    uint64_t Lat;
+    if (isLoad(Inst.Op))
+      Lat = profiledLoadLatency(P, I, PD);
+    else if (Inst.Op == Opcode::Call || Inst.Op == Opcode::CallInd) {
+      Lat = CallLatencyEstimate;
+      if (Inst.Op == Opcode::Call && Inst.Target < Costs.size() &&
+          Costs[Inst.Target] > 0)
+        Lat = Costs[Inst.Target];
+    } else
+      Lat = latencyOf(Inst.Op);
+    Total += PD.blockCount(I.Func, I.Block) * Lat;
+  }
+  return Total / Invocations;
+}
+
+uint64_t RegionHeights::height(int RegionIdx) const {
+  std::atomic<uint64_t> &Slot = Slots[static_cast<size_t>(RegionIdx)];
+  uint64_t H = Slot.load(std::memory_order_relaxed);
+  if (H != Unknown)
+    return H;
+  const Region &R = RG.region(RegionIdx);
+  const Loop *RegionLoop =
+      R.Kind == RegionKind::Loop
+          ? &Deps.forFunction(R.Func).loops().loop(R.LoopIdx)
+          : nullptr;
+  SliceDepGraph RegionG =
+      SliceDepGraph::build(Deps, regionInstructions(RG, RegionIdx, Deps),
+                           RegionLoop, R.Func, PD, /*PessimisticLoads=*/false,
+                           &CallCosts);
+  H = std::max(RegionG.height(), scheduleLength(RegionIdx));
+  Slot.store(H, std::memory_order_relaxed);
+  return H;
+}
+
+//===----------------------------------------------------------------------===//
+// Slice scheduling
+//===----------------------------------------------------------------------===//
+
 SliceScheduler::SliceScheduler(const ProgramDeps &Deps, const RegionGraph &RG,
                                const profile::ProfileData &PD,
                                ScheduleOptions Opts, const SpecDeps *Spec)
-    : Deps(Deps), RG(RG), PD(PD), Opts(Opts), Spec(Spec) {}
+    : SliceScheduler(std::make_shared<const RegionHeights>(Deps, RG, PD), Opts,
+                     Spec) {}
+
+SliceScheduler::SliceScheduler(std::shared_ptr<const RegionHeights> Heights,
+                               ScheduleOptions Opts, const SpecDeps *Spec)
+    : Table(std::move(Heights)), Deps(Table->deps()), RG(Table->regions()),
+      PD(Table->profile()), Opts(Opts), Spec(Spec) {}
 
 uint64_t SliceScheduler::reducedMissCycles(uint64_t SlackPerIter,
                                            uint64_t MissPerIter,
@@ -89,61 +174,8 @@ SliceScheduler::listSchedule(const SliceDepGraph &G,
   return Order;
 }
 
-const std::vector<uint32_t> &SliceScheduler::callCosts() {
-  if (CallCostsReady)
-    return CallCostCache;
-  const Program &P = Deps.program();
-  // Pass 1 uses the flat estimate (CallCostCache empty); pass 2 refines
-  // call costs with the pass-1 per-invocation lengths. Clamped so that
-  // deep recursion cannot blow the estimates up.
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    std::vector<uint32_t> Next(P.numFuncs(), 0);
-    for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
-      uint64_t Len =
-          regionScheduleLength(RG.procedureRegion(FI));
-      Next[FI] = static_cast<uint32_t>(
-          std::min<uint64_t>(Len, 5000));
-    }
-    CallCostCache = std::move(Next);
-  }
-  CallCostsReady = true;
-  return CallCostCache;
-}
-
-uint64_t SliceScheduler::regionScheduleLength(int RegionIdx) {
-  const Region &R = RG.region(RegionIdx);
-  const Program &P = Deps.program();
-  uint64_t Invocations;
-  if (R.Kind == RegionKind::Loop) {
-    const Loop &L = Deps.forFunction(R.Func).loops().loop(R.LoopIdx);
-    Invocations = PD.blockCount(R.Func, L.Header);
-  } else {
-    Invocations = PD.blockCount(R.Func, Deps.forFunction(R.Func)
-                                            .cfg()
-                                            .entry());
-  }
-  if (Invocations == 0)
-    return 0;
-  uint64_t Total = 0;
-  for (const InstRef &I : regionInstructions(RG, RegionIdx, Deps)) {
-    const Instruction &Inst = I.get(P);
-    uint64_t Lat;
-    if (isLoad(Inst.Op))
-      Lat = profiledLoadLatency(P, I, PD);
-    else if (Inst.Op == Opcode::Call || Inst.Op == Opcode::CallInd) {
-      Lat = CallLatencyEstimate;
-      if (Inst.Op == Opcode::Call && Inst.Target < CallCostCache.size() &&
-          CallCostCache[Inst.Target] > 0)
-        Lat = CallCostCache[Inst.Target];
-    } else
-      Lat = latencyOf(Inst.Op);
-    Total += PD.blockCount(I.Func, I.Block) * Lat;
-  }
-  return Total / Invocations;
-}
-
 ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
-                                        SPModel Model) {
+                                        SPModel Model) const {
   ScheduledSlice Out;
   Out.LiveIns = S.LiveIns;
   const Program &P = Deps.program();
@@ -170,18 +202,7 @@ ScheduledSlice SliceScheduler::schedule(const slicer::Slice &S,
     Model = SPModel::Basic; // Chaining needs an iteration structure.
   Out.Model = Model;
 
-  // Region height/schedule length for the slack model.
-  const Loop *RegionLoop =
-      R.Kind == RegionKind::Loop
-          ? &Deps.forFunction(R.Func).loops().loop(R.LoopIdx)
-          : nullptr;
-  const std::vector<uint32_t> &Costs = callCosts();
-  SliceDepGraph RegionG =
-      SliceDepGraph::build(Deps, regionInstructions(RG, S.RegionIdx, Deps),
-                           RegionLoop, R.Func, PD, /*PessimisticLoads=*/false,
-                           &Costs);
-  Out.RegionHeight =
-      std::max(RegionG.height(), regionScheduleLength(S.RegionIdx));
+  Out.RegionHeight = Table->height(S.RegionIdx);
 
   if (ChainLoop)
     Out.ChainTripCount = PD.tripCountOf(

@@ -30,7 +30,9 @@
 #include "sched/SliceDepGraph.h"
 #include "slicer/Slicer.h"
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace ssp::sched {
@@ -122,20 +124,80 @@ struct ScheduledSlice {
   std::vector<analysis::SpecDrop> SpecDrops;
 };
 
+/// The main-thread side of the slack model for one program and profile:
+/// per-function call costs and each region's height. None of it depends
+/// on a scheduling option, so every scheduler of the program shares one
+/// table.
+///
+/// Call costs are computed by the constructor. Region heights are filled
+/// on first use, one atomic slot per region: a program has far more
+/// regions than adaptation ever asks about, so the table is never filled
+/// eagerly. Threads that race on an empty slot compute the same value
+/// from immutable inputs and store it, so the table needs no lock and is
+/// safe to share across ThreadPool workers.
+class RegionHeights {
+public:
+  RegionHeights(const analysis::ProgramDeps &Deps,
+                const analysis::RegionGraph &RG,
+                const profile::ProfileData &PD);
+
+  RegionHeights(const RegionHeights &) = delete;
+  RegionHeights &operator=(const RegionHeights &) = delete;
+
+  /// The height of region \p RegionIdx the slack model subtracts from:
+  /// max(dependence height, schedule length), matching Section 3.3's
+  /// "length of program schedule in the main thread".
+  uint64_t height(int RegionIdx) const;
+
+  /// The expected execution length of one region instance on the main
+  /// thread (per loop iteration for loop regions, per invocation for
+  /// procedure regions), from profile-weighted instruction latencies.
+  uint64_t scheduleLength(int RegionIdx) const {
+    return scheduleLength(RegionIdx, CallCosts);
+  }
+
+  const analysis::ProgramDeps &deps() const { return Deps; }
+  const analysis::RegionGraph &regions() const { return RG; }
+  const profile::ProfileData &profile() const { return PD; }
+
+private:
+  uint64_t scheduleLength(int RegionIdx,
+                          const std::vector<uint32_t> &Costs) const;
+
+  /// Marks a slot whose height is not computed yet.
+  static constexpr uint64_t Unknown = ~uint64_t(0);
+
+  const analysis::ProgramDeps &Deps;
+  const analysis::RegionGraph &RG;
+  const profile::ProfileData &PD;
+  /// Profile-derived per-invocation length of each function (one
+  /// refinement pass over the flat call estimate), used as the call cost
+  /// in region heights and lengths.
+  std::vector<uint32_t> CallCosts;
+  std::unique_ptr<std::atomic<uint64_t>[]> Slots; ///< Per region.
+};
+
 /// Schedules slices against a region and model.
 class SliceScheduler {
 public:
-  /// \p Spec, when non-null and enabled, drops cold loop-carried data
-  /// edges from the slice dependence graphs (never from region graphs).
+  /// A scheduler with its own region-height table. \p Spec, when
+  /// non-null and enabled, drops cold loop-carried data edges from the
+  /// slice dependence graphs (never from region graphs).
   SliceScheduler(const analysis::ProgramDeps &Deps,
                  const analysis::RegionGraph &RG,
                  const profile::ProfileData &PD,
                  ScheduleOptions Opts = ScheduleOptions(),
                  const analysis::SpecDeps *Spec = nullptr);
 
+  /// A scheduler over a shared region-height table (and the program
+  /// analyses it was built from).
+  SliceScheduler(std::shared_ptr<const RegionHeights> Heights,
+                 ScheduleOptions Opts = ScheduleOptions(),
+                 const analysis::SpecDeps *Spec = nullptr);
+
   /// Produces the schedule of \p S under \p Model. The region must be the
   /// slice's region. Chaining on a non-loop region degrades to basic.
-  ScheduledSlice schedule(const slicer::Slice &S, SPModel Model);
+  ScheduledSlice schedule(const slicer::Slice &S, SPModel Model) const;
 
   /// Section 3.4.1: reduced miss cycles over \p TripCount iterations with
   /// linear slack growth \p SlackPerIter and per-iteration miss cost
@@ -143,30 +205,15 @@ public:
   static uint64_t reducedMissCycles(uint64_t SlackPerIter,
                                     uint64_t MissPerIter, double TripCount);
 
-  /// The expected execution length of one region instance on the main
-  /// thread (per loop iteration for loop regions, per invocation for
-  /// procedure regions), from profile-weighted instruction latencies. The
-  /// slack model uses max(dependence height, schedule length), matching
-  /// Section 3.3's "length of program schedule in the main thread".
-  uint64_t regionScheduleLength(int RegionIdx);
-
-  /// Forces the per-function call-cost table now. Call once before handing
-  /// copies of this scheduler to worker threads: copies share the warmed
-  /// table and never race to build it.
-  void ensureCallCosts() { (void)callCosts(); }
+  /// The region-height table this scheduler reads.
+  const RegionHeights &heights() const { return *Table; }
 
 private:
   std::vector<unsigned>
   listSchedule(const SliceDepGraph &G, const std::vector<uint64_t> &Heights,
                const std::vector<unsigned> &Subset) const;
 
-  /// Profile-derived per-invocation length of each function (one
-  /// refinement pass over the flat call estimate), used as the call cost
-  /// in region heights/lengths.
-  const std::vector<uint32_t> &callCosts();
-  std::vector<uint32_t> CallCostCache;
-  bool CallCostsReady = false;
-
+  std::shared_ptr<const RegionHeights> Table;
   const analysis::ProgramDeps &Deps;
   const analysis::RegionGraph &RG;
   const profile::ProfileData &PD;

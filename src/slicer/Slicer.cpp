@@ -37,7 +37,8 @@ bool Slicer::regionContains(int RegionIdx, uint32_t Func,
 }
 
 //===----------------------------------------------------------------------===//
-// Callee summaries (Section 3.1.1): worklist fixed point over recursion.
+// Callee summaries (Section 3.1.1): one closure per def, within its
+// function.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -62,100 +63,96 @@ void Slicer::computeSummaries() {
   const Program &P = Deps.program();
   const InstIndex &Index = Deps.instIndex();
   std::vector<FuncSummary> Tab(P.numFuncs());
-  for (FuncSummary &Sum : Tab) {
-    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
-    Sum.Defined.resize(Reg::NumDenseIndices);
-  }
 
-  // Per-def closure state, reused across defs: membership bits over dense
-  // program-wide instruction ids and dense register indices.
-  support::BitVector Members(Index.numInsts());
+  // Per-def closure state, reused across defs: membership bits over the
+  // function's own instruction ids (offset by its first program-wide id)
+  // and over dense register indices.
+  support::BitVector Members;
   support::BitVector Entry(Reg::NumDenseIndices);
 
-  // Iterate all function summaries to a fixed point. Sets only grow and
-  // are bounded, so this terminates; recursion (e.g. treeadd) converges in
-  // a few rounds.
-  bool Changed = true;
-  unsigned Round = 0;
-  while (Changed && Round < 8) {
-    Changed = false;
-    ++Round;
-    for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
-      const FunctionDeps &FD = Deps.forFunction(FI);
-      FuncSummary &Sum = Tab[FI];
+  // One pass suffices: a def's closure reads only its own function's
+  // reaching defs and control sources, never another summary, so a
+  // second pass over the finished table would find nothing to add.
+  for (uint32_t FI = 0; FI < P.numFuncs(); ++FI) {
+    const FunctionDeps &FD = Deps.forFunction(FI);
+    FuncSummary &Sum = Tab[FI];
+    Sum.DefinedRegs.resize(Reg::NumDenseIndices);
+    Sum.Defined.resize(Reg::NumDenseIndices);
+    const uint32_t Base = Index.firstId(FI);
+    Members.resize(Index.firstId(FI + 1) - Base);
+    auto LocalId = [&](const InstRef &I) { return Index.id(I) - Base; };
 
-      for (const InstRef &Def : FD.reachingDefs().allDefs()) {
-        Reg R = Def.get(P).def();
-        if (blockIsCold(FI, Def.Block))
-          continue;
-        Sum.Defined.set(R.denseIndex());
-        FuncSummary::RegInfo &Info = Sum.DefinedRegs[R.denseIndex()];
+    for (const InstRef &Def : FD.reachingDefs().allDefs()) {
+      Reg R = Def.get(P).def();
+      if (blockIsCold(FI, Def.Block))
+        continue;
+      Sum.Defined.set(R.denseIndex());
+      FuncSummary::RegInfo &Info = Sum.DefinedRegs[R.denseIndex()];
 
-        // Closure of this def within the function.
-        Members.clearAll();
-        Entry.clearAll();
-        size_t NumMembers = Info.Insts.size();
-        size_t NumEntry = Info.EntryDeps.size();
-        for (const InstRef &M : Info.Insts)
-          Members.set(Index.id(M));
-        for (Reg E : Info.EntryDeps)
-          Entry.set(E.denseIndex());
-        size_t OldMembers = NumMembers, OldEntry = NumEntry;
+      // Closure of this def within the function, grown from the closure
+      // of the register's earlier defs.
+      Members.clearAll();
+      Entry.clearAll();
+      size_t NumMembers = Info.Insts.size();
+      size_t NumEntry = Info.EntryDeps.size();
+      for (const InstRef &M : Info.Insts)
+        Members.set(LocalId(M));
+      for (Reg E : Info.EntryDeps)
+        Entry.set(E.denseIndex());
+      size_t OldMembers = NumMembers, OldEntry = NumEntry;
 
-        std::deque<InstRef> Work;
-        if (Members.testAndSet(Index.id(Def))) {
-          ++NumMembers;
-          Work.push_back(Def);
-        }
-        while (!Work.empty()) {
-          InstRef I = Work.front();
-          Work.pop_front();
-          if (NumMembers > SummaryRegCap)
-            break;
-          const Instruction &Inst = I.get(P);
-          Inst.forEachUse([&](Reg U) {
-            if ((U.isInt() || U.isPred()) && U.Num == 0)
-              return;
-            FD.reachingDefs().forEachReachingDef(
-                I.Block, I.Inst, U, RDScratch, [&](const InstRef &Prod) {
-                  if (blockIsCold(FI, Prod.Block))
-                    return;
-                  if (Members.testAndSet(Index.id(Prod))) {
-                    ++NumMembers;
-                    Work.push_back(Prod);
-                  }
-                });
-            if (FD.reachingDefs().mayBeLiveIn(I.Block, I.Inst, U) &&
-                Entry.testAndSet(U.denseIndex()))
-              ++NumEntry;
-          });
-          for (const InstRef &Ctrl : FD.controlSources(I)) {
-            if (blockIsCold(FI, Ctrl.Block))
-              continue;
-            if (Members.testAndSet(Index.id(Ctrl))) {
-              ++NumMembers;
-              Work.push_back(Ctrl);
-            }
+      std::deque<InstRef> Work;
+      if (Members.testAndSet(LocalId(Def))) {
+        ++NumMembers;
+        Work.push_back(Def);
+      }
+      while (!Work.empty()) {
+        InstRef I = Work.front();
+        Work.pop_front();
+        if (NumMembers > SummaryRegCap)
+          break;
+        const Instruction &Inst = I.get(P);
+        Inst.forEachUse([&](Reg U) {
+          if ((U.isInt() || U.isPred()) && U.Num == 0)
+            return;
+          FD.reachingDefs().forEachReachingDef(
+              I.Block, I.Inst, U, RDScratch, [&](const InstRef &Prod) {
+                if (blockIsCold(FI, Prod.Block))
+                  return;
+                if (Members.testAndSet(LocalId(Prod))) {
+                  ++NumMembers;
+                  Work.push_back(Prod);
+                }
+              });
+          if (FD.reachingDefs().mayBeLiveIn(I.Block, I.Inst, U) &&
+              Entry.testAndSet(U.denseIndex()))
+            ++NumEntry;
+        });
+        for (const InstRef &Ctrl : FD.controlSources(I)) {
+          if (blockIsCold(FI, Ctrl.Block))
+            continue;
+          if (Members.testAndSet(LocalId(Ctrl))) {
+            ++NumMembers;
+            Work.push_back(Ctrl);
           }
         }
-
-        if (NumMembers != OldMembers || NumEntry != OldEntry) {
-          Changed = true;
-          Info.Insts.clear();
-          Info.Insts.reserve(NumMembers);
-          Members.forEachSetBit([&](size_t Id) {
-            Info.Insts.push_back(Index.ref(static_cast<uint32_t>(Id)));
-          });
-          Info.EntryDeps.clear();
-          Info.EntryDeps.reserve(NumEntry);
-          Entry.forEachSetBit([&](size_t Dense) {
-            Info.EntryDeps.push_back(
-                regFromDenseIndex(static_cast<unsigned>(Dense)));
-          });
-        }
       }
-      Sum.Computed = true;
+
+      if (NumMembers != OldMembers || NumEntry != OldEntry) {
+        Info.Insts.clear();
+        Info.Insts.reserve(NumMembers);
+        Members.forEachSetBit([&](size_t Id) {
+          Info.Insts.push_back(Index.ref(Base + static_cast<uint32_t>(Id)));
+        });
+        Info.EntryDeps.clear();
+        Info.EntryDeps.reserve(NumEntry);
+        Entry.forEachSetBit([&](size_t Dense) {
+          Info.EntryDeps.push_back(
+              regFromDenseIndex(static_cast<unsigned>(Dense)));
+        });
+      }
     }
+    Sum.Computed = true;
   }
   Summaries =
       std::make_shared<const std::vector<FuncSummary>>(std::move(Tab));

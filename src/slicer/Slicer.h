@@ -16,10 +16,12 @@
 ///    through a call site c, the slice continues in the caller just before
 ///    c — the slice(r, [c1..cn]) formula of Section 3.1, which only builds
 ///    the slice up the chain of calls on the call stack.
-///  * Callee summaries with a fixed-point over recursion: values produced
-///    inside callees are expanded through per-function register summaries
-///    (slice summaries of Section 3.1.1); recursion is resolved by
-///    iterating summaries to a fixed point.
+///  * Callee summaries: values produced inside callees are expanded
+///    through per-function register summaries (slice summaries of Section
+///    3.1.1). A summary is the closure of a register's defs within its own
+///    function, so one pass builds them all; calls inside a callee (and
+///    recursion) are followed at slicing time, where the expansion is
+///    memoized per (position, frame, register).
 ///  * Control-flow speculative slicing (Section 3.1.2): blocks never
 ///    executed during profiling are filtered out of the slice, and
 ///    indirect calls are resolved only to their profiled targets.
@@ -140,10 +142,10 @@ public:
   /// e.g. treeadd's left- and right-child call sites.
   static void mergeInto(Slice &A, const Slice &B);
 
-  /// Summary of \p Func, computed on demand with recursion fixed point.
+  /// Summary of \p Func; the whole table is computed on first use.
   const FuncSummary &summaryOf(uint32_t Func);
 
-  /// Forces the summary fixed point now. Call once before handing copies
+  /// Forces the summary table now. Call once before handing copies
   /// of this slicer to worker threads so they never race to build it.
   void ensureSummaries();
 

@@ -334,4 +334,18 @@ TEST(OptionTable, AcceptedSpellings) {
             UINT64_MAX);
 }
 
+TEST(OptionTable, NegativeZeroKeysLikeZero) {
+  // strtod accepts "-0" and it lies in [0, 1]; it must render as "0" so it
+  // shares the result-cache key and the warm-state key of "0".
+  for (const OptionRow &R : optionTable()) {
+    if (R.Kind != OptionKind::Fraction)
+      continue;
+    SCOPED_TRACE(R.Key);
+    ToolOptions Zero = withOptions({{R.Key, "0"}});
+    ToolOptions NegZero = withOptions({{R.Key, "-0"}});
+    EXPECT_EQ(canonicalOptionsText(NegZero), canonicalOptionsText(Zero));
+    EXPECT_EQ(analysisOptionsText(NegZero), analysisOptionsText(Zero));
+  }
+}
+
 } // namespace

@@ -276,8 +276,8 @@ TEST(Scheduler, RegionScheduleLengthGrowsWithRegion) {
     if (H.RG.region(I).isLoop() && H.RG.region(I).Func == 1)
       LoopRegion = static_cast<int>(I);
   ASSERT_GE(LoopRegion, 0);
-  uint64_t LoopLen = H.Scheduler.regionScheduleLength(LoopRegion);
+  uint64_t LoopLen = H.Scheduler.heights().scheduleLength(LoopRegion);
   uint64_t ProcLen =
-      H.Scheduler.regionScheduleLength(H.RG.procedureRegion(1));
+      H.Scheduler.heights().scheduleLength(H.RG.procedureRegion(1));
   EXPECT_GT(ProcLen, LoopLen * 4);
 }

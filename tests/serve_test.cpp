@@ -4,15 +4,18 @@
 // must be byte-identical to cold misses and to the one-shot library
 // path, eviction must honor the byte budget, hash collisions must fall
 // back to the full-key compare, responses must be deterministic for any
-// --jobs, and malformed requests must produce located error responses
-// without killing the service.
+// --jobs, option states of one program must share its program layer, and
+// malformed requests must produce located error responses without killing
+// the service.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ProfiledFixture.h"
 #include "core/AdaptService.h"
+#include "core/OptionTable.h"
 #include "core/PostPassTool.h"
 #include "core/ReportRender.h"
+#include "obs/Registry.h"
 #include "profile/ProfileIO.h"
 #include "workloads/Workload.h"
 
@@ -53,13 +56,19 @@ struct Job {
   std::string Report, Binary; // Expected response payloads.
 };
 
-Job makeJob(const Workload &W) {
+Job makeJob(const Workload &W, const std::vector<std::string> &Options = {}) {
   const ProfiledWorkload &PW = profiledWorkload(W);
   Job J;
   J.Prog = PW.P.str();
   J.Prof = profile::writeProfileText(PW.PD);
   ToolOptions TO;
   TO.FatalOnVerifyError = false;
+  for (const std::string &O : Options) {
+    size_t Eq = O.find('=');
+    std::string Msg;
+    EXPECT_TRUE(applyOption(TO, O.substr(0, Eq), O.substr(Eq + 1), Msg))
+        << Msg;
+  }
   PostPassTool Tool(PW.P, PW.PD, TO);
   AdaptationReport Rep;
   ir::Program Enhanced = Tool.adapt(&Rep);
@@ -204,6 +213,62 @@ TEST(Serve, ResponsesAreDeterministicForAnyJobCount) {
 }
 
 //===----------------------------------------------------------------------===//
+// Warm layers: option states of one program share its program layer.
+//===----------------------------------------------------------------------===//
+
+/// The four option variants of the serving benchmark. The first, third
+/// and fourth share one analysis-option text; spec-deps has its own.
+const std::vector<std::vector<std::string>> Variants = {
+    {}, {"spec-deps=1", "spec-threshold=0.05"}, {"streams=1"},
+    {"inner-unroll=4"}};
+
+TEST(Serve, OptionVariantsShareOneProgramLayer) {
+  std::vector<Job> Jobs;
+  for (const std::vector<std::string> &V : Variants)
+    Jobs.push_back(makeJob(makeMcf(), V));
+
+  for (unsigned NumJobs : {1u, 4u}) {
+    SCOPED_TRACE(NumJobs);
+    ServeOptions O;
+    O.Jobs = NumJobs;
+    O.WarmPrograms = 1;
+
+    // One batch: two option states over one program layer.
+    {
+      obs::Registry Reg;
+      O.Metrics = &Reg;
+      AdaptService S(O);
+      std::string Session, Expected;
+      for (size_t I = 0; I < Variants.size(); ++I) {
+        std::string Id = "v" + std::to_string(I);
+        Session += frameRequest(Id, Jobs[I].Prog, Jobs[I].Prof, Variants[I]);
+        Expected += okResponse(Id, Jobs[I].Report, Jobs[I].Binary);
+      }
+      EXPECT_EQ(S.processBatch(Session), Expected);
+      EXPECT_EQ(Reg.counter("serve.warm_builds"), 2u);
+      EXPECT_EQ(Reg.counter("serve.program_builds"), 1u);
+    }
+
+    // One variant per flush, keeping one option state: the default
+    // state is evicted by spec-deps', then rebuilt for streams over the
+    // program layer spec-deps' state kept alive; inner-unroll reuses it.
+    obs::Registry Reg;
+    O.Metrics = &Reg;
+    AdaptService S(O);
+    for (size_t I = 0; I < Variants.size(); ++I) {
+      SCOPED_TRACE(I);
+      std::string Id = "f" + std::to_string(I);
+      EXPECT_EQ(S.processBatch(frameRequest(Id, Jobs[I].Prog, Jobs[I].Prof,
+                                            Variants[I])),
+                okResponse(Id, Jobs[I].Report, Jobs[I].Binary));
+    }
+    EXPECT_EQ(Reg.counter("serve.warm_builds"), 3u);
+    EXPECT_EQ(Reg.counter("serve.warm_hits"), 1u);
+    EXPECT_EQ(Reg.counter("serve.program_builds"), 1u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Hardening: malformed input yields located error responses, and the
 // service keeps answering afterwards.
 //===----------------------------------------------------------------------===//
@@ -333,6 +398,47 @@ TEST(Serve, ErrorStateDoesNotPoisonWarmOrCacheState) {
             okResponse("y", J.Report, J.Binary));
   // And the failed request was not cached as a success.
   EXPECT_EQ(S.cache().size(), 1u);
+}
+
+TEST(Serve, FailedProgramLayerIsNeverShared) {
+  Job Other = makeJob(makeEm3d());
+  obs::Registry Reg;
+  ServeOptions O;
+  O.Metrics = &Reg;
+  AdaptService S(O);
+
+  // A profile that fails cross-validation errors under every variant;
+  // the variants of one batch share the one failed program layer.
+  std::string Session;
+  for (size_t I = 0; I < Variants.size(); ++I)
+    Session += frameRequest("x" + std::to_string(I), makeJob(makeMcf()).Prog,
+                            Other.Prof, Variants[I]);
+  std::string Out = S.processBatch(Session);
+  for (size_t I = 0; I < Variants.size(); ++I)
+    expectErrorResponse(Out, "x" + std::to_string(I),
+                        "does not match program");
+  EXPECT_EQ(Reg.counter("serve.program_builds"), 1u);
+
+  // A new option state for the same texts does not attach to the failed
+  // layer: the texts are parsed again, and fail again.
+  Out = S.processBatch(frameRequest("y", makeJob(makeMcf()).Prog, Other.Prof,
+                                    {"slice-max=32"}));
+  expectErrorResponse(Out, "y", "does not match program");
+  EXPECT_EQ(Reg.counter("serve.program_builds"), 2u);
+  EXPECT_EQ(S.cache().size(), 0u);
+
+  // The same program with its own profile is served normally under every
+  // variant, from one fresh program layer.
+  Session.clear();
+  std::string Expected;
+  for (size_t I = 0; I < Variants.size(); ++I) {
+    Job J = makeJob(makeMcf(), Variants[I]);
+    std::string Id = "ok" + std::to_string(I);
+    Session += frameRequest(Id, J.Prog, J.Prof, Variants[I]);
+    Expected += okResponse(Id, J.Report, J.Binary);
+  }
+  EXPECT_EQ(S.processBatch(Session), Expected);
+  EXPECT_EQ(Reg.counter("serve.program_builds"), 3u);
 }
 
 } // namespace
